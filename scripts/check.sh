@@ -37,6 +37,9 @@ cargo test -q -p lalrcex-cli --test cli
 
 echo "==> yacc frontend differential (committed twins) + build-script example"
 cargo test -q --release --test yacc_differential
+
+echo "==> LALR lookahead snapshot + canonical LR(1) oracle"
+cargo test -q --release --test lalr_lookaheads
 cargo run -q --release --example build_script > /dev/null
 
 echo "==> panic gate (engine non-test code)"
