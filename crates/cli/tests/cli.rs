@@ -328,3 +328,26 @@ fn serve_exits_promptly_when_reader_dies_mid_analysis() {
     };
     assert_eq!(status.code(), Some(0), "hangup is an orderly exit");
 }
+
+/// `--stats` shows provenance counters only when provenance ran: `cex`
+/// never computes it, so its stats have no provenance line (not a line of
+/// zeros), while `explain` reports the grammar's precedence resolutions.
+#[test]
+fn stats_show_provenance_only_when_it_ran() {
+    let grammar = concat!(env!("CARGO_MANIFEST_DIR"), "/../corpus/grammars/eqn.y");
+    let cex = run(&["cex", "--stats", grammar]);
+    let stdout = String::from_utf8(cex.stdout).unwrap();
+    assert!(stdout.contains("grammar stats:"), "stdout: {stdout}");
+    assert!(
+        !stdout.contains("provenance:"),
+        "cex did not run provenance; stdout: {stdout}"
+    );
+
+    let explain = run(&["explain", "--stats", grammar]);
+    let stdout = String::from_utf8(explain.stdout).unwrap();
+    let line = stdout
+        .lines()
+        .find(|l| l.contains("provenance:"))
+        .unwrap_or_else(|| panic!("explain ran provenance; stdout: {stdout}"));
+    assert!(line.contains("187 precedence-resolved"), "{line}");
+}

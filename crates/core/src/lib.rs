@@ -67,7 +67,7 @@ pub use nonunifying::{nonunifying_example, NonunifyingExample};
 pub use provenance::{
     format_provenance, render_chain_step, ChainStep, Classification, ClassificationCounts,
     ConflictProvenance, GrammarProvenance, MergeEvidence, MergeVariant, ProvenanceOutcome,
-    ProvenanceTables, ResolutionProvenance,
+    ResolutionProvenance,
 };
 pub use report::{
     analyze, display_item_cup, format_report, Analyzer, CexConfig, ConflictOutcome, ConflictReport,

@@ -123,10 +123,12 @@ pub struct GrammarStats {
     pub cache_misses: u64,
     /// Engine-cache evictions; see [`Self::cache_hits`].
     pub cache_evictions: u64,
+    /// Provenance analyses folded in by [`Self::record_provenance`]. Zero
+    /// means provenance did not run, so the `class_*`, `lr1_states` and
+    /// `provenance_time` fields are absent rather than zero.
+    pub provenance_runs: u64,
     /// Conflicts classified true-ambiguity-candidate by the provenance
-    /// analysis. Filled by [`Self::record_provenance`] when the caller ran
-    /// it; all-zero classification counters mean provenance was not
-    /// requested.
+    /// analysis; see [`Self::provenance_runs`].
     pub class_true_candidates: u64,
     /// Conflicts classified merge-artifact; see [`Self::class_true_candidates`].
     pub class_merge_artifacts: u64,
@@ -167,6 +169,7 @@ impl GrammarStats {
     /// aggregate (called by the layer that ran the provenance analysis).
     pub fn record_provenance(&mut self, p: &crate::provenance::GrammarProvenance) {
         let c = p.counts();
+        self.provenance_runs += 1;
         self.class_true_candidates += c.true_candidates;
         self.class_merge_artifacts += c.merge_artifacts;
         self.class_precedence_resolved += c.precedence_resolved;
@@ -193,7 +196,21 @@ pub fn format_conflict_stats(s: &SearchStats) -> String {
 }
 
 /// Multi-line rendering of the grammar aggregate for `--stats` output.
+/// The provenance line appears only when provenance ran.
 pub fn format_grammar_stats(stats: &GrammarStats, wall: Duration) -> String {
+    let provenance = if stats.provenance_runs == 0 {
+        String::new()
+    } else {
+        format!(
+            "\u{20} provenance: {} true-ambiguity / {} merge-artifact / {} precedence-resolved / {} internal (lr1 states {}, {:.1}ms)\n",
+            stats.class_true_candidates,
+            stats.class_merge_artifacts,
+            stats.class_precedence_resolved,
+            stats.class_internal,
+            stats.lr1_states,
+            stats.provenance_time.as_secs_f64() * 1e3,
+        )
+    };
     format!(
         "grammar stats: {} conflicts, {} workers, precompute {:.1}ms\n\
          \u{20} spine memo: {} hits / {} misses ({} LSSI nodes expanded)\n\
@@ -201,7 +218,7 @@ pub fn format_grammar_stats(stats: &GrammarStats, wall: Duration) -> String {
          \u{20} memory: live-bytes peak {}, {} sheds, {} sharded batches\n\
          \u{20} supervision: {} slot retries / {} recovered\n\
          \u{20} engine cache: {} hits / {} misses / {} evictions\n\
-         \u{20} provenance: {} true-ambiguity / {} merge-artifact / {} precedence-resolved / {} internal (lr1 states {}, {:.1}ms)\n\
+         {provenance}\
          \u{20} time: {:.1}ms wall, {:.1}ms cpu across conflicts",
         stats.conflicts,
         stats.workers,
@@ -222,12 +239,6 @@ pub fn format_grammar_stats(stats: &GrammarStats, wall: Duration) -> String {
         stats.cache_hits,
         stats.cache_misses,
         stats.cache_evictions,
-        stats.class_true_candidates,
-        stats.class_merge_artifacts,
-        stats.class_precedence_resolved,
-        stats.class_internal,
-        stats.lr1_states,
-        stats.provenance_time.as_secs_f64() * 1e3,
         wall.as_secs_f64() * 1e3,
         stats.cpu_time.as_secs_f64() * 1e3,
     )
@@ -293,5 +304,6 @@ mod tests {
         let out = format_grammar_stats(&g, Duration::ZERO);
         assert!(out.contains("spine memo"));
         assert!(out.contains("unifying search"));
+        assert!(!out.contains("provenance"), "absent, not zero: {out}");
     }
 }

@@ -5,8 +5,9 @@
 //! [`Grammar`](lalrcex_grammar::Grammar):
 //!
 //! * an LR(0) [`Automaton`] whose states carry full item sets,
-//! * LALR(1) per-item lookahead sets (computed by spontaneous-generation /
-//!   propagation, equivalent to the DeRemer–Pennello sets for reduce items),
+//! * LALR(1) per-item lookahead sets, computed once from the
+//!   DeRemer–Pennello [`lalr::Relations`] (kept, with their edges, for
+//!   provenance queries),
 //! * [`Tables`] with yacc-style precedence resolution and a list of the
 //!   remaining [`Conflict`]s — the inputs to the counterexample engine,
 //! * a deterministic table-driven [`parser`], and
@@ -37,6 +38,7 @@ mod automaton;
 mod conflict;
 pub mod glr;
 mod item;
+pub mod lalr;
 pub mod parser;
 mod table;
 
