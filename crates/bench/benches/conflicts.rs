@@ -18,12 +18,43 @@
 //!
 //! Filter with `cargo bench -- NAME` (substring match on `group/bench`).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lalrcex_baselines::{amber, filtered};
 use lalrcex_bench::micro::{Group, MicroConfig};
-use lalrcex_core::{lssi, unifying_search, Analyzer, CexConfig, SearchConfig, StateGraph};
-use lalrcex_lr::Automaton;
+use lalrcex_core::{
+    lssi, unifying_search_session, CancelToken, CexConfig, Engine, MemoryGovernor, SearchConfig,
+    SearchMetrics, SearchOutcome, SearchSession, StateGraph,
+};
+use lalrcex_lr::{Automaton, Conflict, StateId};
+
+/// One §5 search outside any analysis run: no cancellation, no memory
+/// governor, no shard workers.
+fn bare_search(
+    engine: &Engine<'_>,
+    conflict: &Conflict,
+    states: &[StateId],
+    cfg: &SearchConfig,
+    metrics: &mut SearchMetrics,
+) -> SearchOutcome {
+    let cancel = CancelToken::new();
+    let governor = MemoryGovernor::unlimited();
+    let session = SearchSession {
+        cancel: &cancel,
+        governor: &governor,
+        shards: None,
+    };
+    unifying_search_session(
+        engine.grammar(),
+        engine.automaton(),
+        engine.graph(),
+        conflict,
+        states,
+        cfg,
+        &session,
+        metrics,
+    )
+}
 
 fn automaton_construction(cfg: MicroConfig, filter: Option<String>) {
     let mut group = Group::new("automaton", cfg, filter);
@@ -54,17 +85,13 @@ fn unifying(cfg: MicroConfig, filter: Option<String>) {
     let mut group = Group::new("unifying", cfg, filter);
     for name in ["figure1", "figure7", "SQL.1", "simp2"] {
         let g = lalrcex_corpus::by_name(name).unwrap().load().unwrap();
-        let auto = Automaton::build(&g);
-        let tables = auto.tables(&g);
-        let graph = StateGraph::build(&g, &auto);
-        let conflict = tables.conflicts()[0];
-        let target = graph.node(conflict.state, conflict.reduce_item(&g));
-        let path = lssi::shortest_path(&g, &auto, &graph, target, g.tindex(conflict.terminal))
-            .expect("path");
-        let states = lssi::states_of_path(&graph, &path);
+        let engine = Engine::new(&g);
+        let conflict = engine.tables().conflicts()[0];
+        let (spine, _) = engine.spine(&conflict);
         let scfg = SearchConfig::default();
         group.bench(name, || {
-            unifying_search(&g, &auto, &graph, &conflict, &states, &scfg)
+            let mut m = SearchMetrics::default();
+            bare_search(&engine, &conflict, &spine.states, &scfg, &mut m)
         });
     }
 }
@@ -74,10 +101,15 @@ fn full_conflict(cfg: MicroConfig, filter: Option<String>) {
     for name in ["figure1", "eqn", "SQL.1", "Pascal.3", "C.1", "Java.1"] {
         let g = lalrcex_corpus::by_name(name).unwrap().load().unwrap();
         group.bench(name, || {
-            let mut analyzer = Analyzer::new(&g);
-            let conflict = analyzer.tables().conflicts()[0];
-            analyzer
-                .analyze_conflict(&conflict, &CexConfig::default())
+            let engine = Engine::new(&g);
+            let conflict = engine.tables().conflicts()[0];
+            let cfg = CexConfig::default();
+            engine
+                .analyze_conflict_with_deadline(
+                    &conflict,
+                    &cfg,
+                    Instant::now() + cfg.cumulative_limit,
+                )
                 .kind()
         });
     }
@@ -106,8 +138,6 @@ fn baseline(cfg: MicroConfig, filter: Option<String>) {
 /// poll across 256 pops. The node budget caps the search so both variants
 /// expand identical configurations; only the poll frequency differs.
 fn cancel_stride(cfg: MicroConfig, filter: Option<String>) {
-    use lalrcex_core::{unifying_search_metered, Engine, SearchMetrics};
-
     let mut group = Group::new("cancel_stride", cfg, filter);
     for name in ["Java.2", "C.3"] {
         let g = lalrcex_corpus::by_name(name).unwrap().load().unwrap();
@@ -123,15 +153,7 @@ fn cancel_stride(cfg: MicroConfig, filter: Option<String>) {
         for (i, c) in engine.tables().conflicts().iter().take(40).enumerate() {
             let (spine, _) = engine.spine(c);
             let mut m = SearchMetrics::default();
-            unifying_search_metered(
-                &g,
-                engine.automaton(),
-                engine.graph(),
-                c,
-                &spine.states,
-                &probe_cfg,
-                &mut m,
-            );
+            bare_search(&engine, c, &spine.states, &probe_cfg, &mut m);
             if best.is_none_or(|(_, e)| m.explored > e) {
                 best = Some((i, m.explored));
             }
@@ -146,15 +168,7 @@ fn cancel_stride(cfg: MicroConfig, filter: Option<String>) {
             };
             group.bench(&format!("{name}/stride{stride}"), || {
                 let mut m = SearchMetrics::default();
-                unifying_search_metered(
-                    &g,
-                    engine.automaton(),
-                    engine.graph(),
-                    &conflict,
-                    &spine.states,
-                    &scfg,
-                    &mut m,
-                );
+                bare_search(&engine, &conflict, &spine.states, &scfg, &mut m);
                 m.explored
             });
         }
@@ -167,7 +181,6 @@ fn cancel_stride(cfg: MicroConfig, filter: Option<String>) {
 /// once outside it — the cost when lint rides on a conflict analysis
 /// that already precomputed everything. The gap is the fact-sharing win.
 fn lint_passes(cfg: MicroConfig, filter: Option<String>) {
-    use lalrcex_core::Engine;
     use lalrcex_lint::Linter;
 
     let mut group = Group::new("lint", cfg, filter);
@@ -194,10 +207,7 @@ fn lint_passes(cfg: MicroConfig, filter: Option<String>) {
 /// * `LALRCEX_BENCH_SMOKE=1` — shrink budget and samples so the check.sh
 ///   bench leg finishes in seconds.
 fn search_throughput(filter: Option<String>) {
-    use std::time::Instant;
-
     use lalrcex_bench::micro::{write_throughput_json, ThroughputRecord};
-    use lalrcex_core::{unifying_search_metered, Engine, SearchMetrics};
 
     let smoke = std::env::var_os("LALRCEX_BENCH_SMOKE").is_some_and(|v| v != "0");
     let budget: usize = if smoke { 20_000 } else { 200_000 };
@@ -233,15 +243,7 @@ fn search_throughput(filter: Option<String>) {
         for (i, c) in engine.tables().conflicts().iter().take(40).enumerate() {
             let (spine, _) = engine.spine(c);
             let mut m = SearchMetrics::default();
-            unifying_search_metered(
-                &g,
-                engine.automaton(),
-                engine.graph(),
-                c,
-                &spine.states,
-                &probe_cfg,
-                &mut m,
-            );
+            bare_search(&engine, c, &spine.states, &probe_cfg, &mut m);
             if best.is_none_or(|(_, e)| m.explored > e) {
                 best = Some((i, m.explored));
             }
@@ -259,15 +261,7 @@ fn search_throughput(filter: Option<String>) {
         for _ in 0..samples {
             let mut m = SearchMetrics::default();
             let t = Instant::now();
-            unifying_search_metered(
-                &g,
-                engine.automaton(),
-                engine.graph(),
-                &conflict,
-                &spine.states,
-                &scfg,
-                &mut m,
-            );
+            bare_search(&engine, &conflict, &spine.states, &scfg, &mut m);
             let d = t.elapsed();
             explored = m.explored;
             elapsed = elapsed.min(d);

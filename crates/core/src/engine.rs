@@ -20,6 +20,7 @@
 //! table order, so for runs where no limit fires the output is
 //! byte-identical whatever the worker count.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -54,8 +55,12 @@ pub struct Spine {
 
 /// The per-grammar engine: conflict-independent state built once, then
 /// shared read-only by every per-conflict search (and every worker).
+///
+/// The engine either borrows its grammar ([`Engine::new`]) or owns it
+/// ([`Engine::owned`]); an owned engine is `'static` and can be shared
+/// behind an `Arc`, which is how the [`crate::cache::EngineCache`] holds it.
 pub struct Engine<'g> {
-    g: &'g Grammar,
+    g: Cow<'g, Grammar>,
     auto: Automaton,
     tables: Tables,
     graph: StateGraph,
@@ -120,14 +125,35 @@ pub fn resolve_workers(configured: usize, conflicts: usize) -> usize {
     hardware_workers(configured).clamp(1, conflicts.max(1))
 }
 
+impl Engine<'static> {
+    /// [`Engine::new`] over a grammar the engine takes ownership of: the
+    /// result borrows nothing, so it can outlive the caller's frame.
+    pub fn owned(g: Grammar) -> Engine<'static> {
+        Engine::build(Cow::Owned(g))
+    }
+}
+
 impl<'g> Engine<'g> {
     /// Builds all conflict-independent state for `g`: automaton, tables,
     /// state-item graph (with reverse edges), and an empty spine memo.
     pub fn new(g: &'g Grammar) -> Engine<'g> {
+        Engine::build(Cow::Borrowed(g))
+    }
+
+    /// [`Engine::new`] with the precomputation contained: a panic while
+    /// building the automaton, tables, or state-item graph is caught at
+    /// this boundary and reported as a structured [`EngineError`] (phase
+    /// `"precompute"`) instead of unwinding into the caller.
+    pub fn try_new(g: &'g Grammar) -> Result<Engine<'g>, EngineError> {
+        contain("precompute", || Engine::new(g))
+    }
+
+    /// The one builder behind every constructor.
+    fn build(g: Cow<'g, Grammar>) -> Engine<'g> {
         let t0 = Instant::now();
-        let auto = Automaton::build(g);
-        let tables = auto.tables(g);
-        let graph = StateGraph::build(g, &auto);
+        let auto = Automaton::build(&g);
+        let tables = auto.tables(&g);
+        let graph = StateGraph::build(&g, &auto);
         Engine {
             g,
             auto,
@@ -139,17 +165,9 @@ impl<'g> Engine<'g> {
         }
     }
 
-    /// [`Engine::new`] with the precomputation contained: a panic while
-    /// building the automaton, tables, or state-item graph is caught at
-    /// this boundary and reported as a structured [`EngineError`] (phase
-    /// `"precompute"`) instead of unwinding into the caller.
-    pub fn try_new(g: &'g Grammar) -> Result<Engine<'g>, EngineError> {
-        contain("precompute", || Engine::new(g))
-    }
-
     /// The grammar this engine was built for.
-    pub fn grammar(&self) -> &'g Grammar {
-        self.g
+    pub fn grammar(&self) -> &Grammar {
+        &self.g
     }
 
     /// The LALR automaton.
@@ -178,7 +196,7 @@ impl<'g> Engine<'g> {
     /// that wants the precomputation without re-running it).
     pub fn facts(&self) -> Facts<'_> {
         Facts {
-            grammar: self.g,
+            grammar: &self.g,
             analysis: self.auto.analysis(),
             automaton: &self.auto,
             tables: &self.tables,
@@ -268,7 +286,7 @@ impl<'g> Engine<'g> {
         let computed = contain("provenance.compute", || {
             crate::fail_point!("provenance.compute");
             provenance::compute(
-                self.g,
+                &self.g,
                 &self.auto,
                 self.tables.conflicts(),
                 self.tables.resolutions(),
@@ -290,7 +308,7 @@ impl<'g> Engine<'g> {
             .items()
             .iter()
             .copied()
-            .find(|it| it.next_symbol(self.g) == Some(res.terminal))?;
+            .find(|it| it.next_symbol(&self.g) == Some(res.terminal))?;
         Some(Conflict {
             state: res.state,
             terminal: res.terminal,
@@ -343,7 +361,7 @@ impl<'g> Engine<'g> {
             };
             let mut metrics = crate::stats::SearchMetrics::default();
             match unifying_search_session(
-                self.g,
+                &self.g,
                 &self.auto,
                 &self.graph,
                 &conflict,
@@ -366,7 +384,7 @@ impl<'g> Engine<'g> {
     pub fn spine(&self, conflict: &Conflict) -> (Arc<Spine>, bool) {
         let key = (
             self.graph
-                .node(conflict.state, conflict.reduce_item(self.g)),
+                .node(conflict.state, conflict.reduce_item(&self.g)),
             self.g.tindex(conflict.terminal),
         );
         // Poison recovery: a panic contained elsewhere may have poisoned
@@ -384,7 +402,7 @@ impl<'g> Engine<'g> {
         // but the search is deterministic, so whichever insert wins the
         // entry is identical and nothing blocks behind a long search.
         let (path, nodes_expanded) =
-            lssi::shortest_path_metered(self.g, &self.auto, &self.graph, key.0, key.1);
+            lssi::shortest_path_metered(&self.g, &self.auto, &self.graph, key.0, key.1);
         let states = path
             .as_deref()
             .map(|p| lssi::states_of_path(&self.graph, p))
@@ -492,7 +510,7 @@ impl<'g> Engine<'g> {
             let t1 = Instant::now();
             let outcome = contain("unifying", || {
                 unifying_search_session(
-                    self.g,
+                    &self.g,
                     &self.auto,
                     &self.graph,
                     conflict,
@@ -521,10 +539,9 @@ impl<'g> Engine<'g> {
             None
         } else {
             match contain("nonunifying", || {
-                spine
-                    .path
-                    .as_deref()
-                    .and_then(|p| nonunifying_example(self.g, &self.auto, &self.graph, conflict, p))
+                spine.path.as_deref().and_then(|p| {
+                    nonunifying_example(&self.g, &self.auto, &self.graph, conflict, p)
+                })
             }) {
                 Ok(n) => n,
                 Err(e) => {
@@ -551,15 +568,7 @@ impl<'g> Engine<'g> {
 
     /// Analyzes every conflict with the full `cumulative_limit` budget.
     pub fn analyze_all(&self, cfg: &CexConfig) -> GrammarReport {
-        self.analyze_all_budgeted(cfg, cfg.cumulative_limit)
-    }
-
-    /// [`Engine::analyze_all`] with an explicit remaining grammar budget
-    /// (the [`crate::Analyzer`] wrapper passes what is left of its
-    /// cumulative accounting).
-    pub fn analyze_all_budgeted(&self, cfg: &CexConfig, budget: Duration) -> GrammarReport {
-        let cancel = CancelToken::new();
-        self.analyze_all_cancellable(cfg, budget, &cancel)
+        self.analyze_all_cancellable(cfg, cfg.cumulative_limit, &CancelToken::new())
     }
 
     /// A stub report filling the slot of a conflict whose diagnosis never
@@ -575,7 +584,8 @@ impl<'g> Engine<'g> {
         }
     }
 
-    /// [`Engine::analyze_all_budgeted`] under an external [`CancelToken`]:
+    /// [`Engine::analyze_all`] with an explicit grammar budget, under an
+    /// external [`CancelToken`]:
     /// a hard (signal) cancel stops every worker at its next check and
     /// stubs unstarted conflicts with [`ExampleKind::Cancelled`] reports,
     /// so the grammar report always has one entry per conflict. Per-conflict

@@ -33,12 +33,11 @@
 //!
 //! The pieces are exposed individually for tooling: the state-item graph
 //! ([`StateGraph`]), lookahead-sensitive paths ([`lssi`]), the product
-//! parser search ([`unifying_search`]), and nonunifying construction
-//! ([`nonunifying_example`]).
+//! parser search ([`unifying_search_session`]), and nonunifying
+//! construction ([`nonunifying_example`]). [`Engine`] composes them, and
+//! every analysis runs through it.
 
-// `deny` rather than `forbid`: the engine cache's self-referential
-// grammar/engine pairing (cache.rs) needs one scoped, documented `allow`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod cancel;
@@ -56,7 +55,7 @@ mod state_graph;
 pub mod stats;
 pub mod validate;
 
-pub use cache::{content_hash, tagged_hash, BuildError, CacheStats, CachedEngine, EngineCache};
+pub use cache::{content_hash, tagged_hash, BuildError, CacheStats, EngineCache};
 pub use cancel::{
     CancelReason, CancelToken, GovernorLease, MemoryGovernor, SearchSession, ShardBudget,
 };
@@ -70,12 +69,11 @@ pub use provenance::{
     ResolutionProvenance,
 };
 pub use report::{
-    analyze, display_item_cup, format_report, Analyzer, CexConfig, ConflictOutcome, ConflictReport,
+    analyze, display_item_cup, format_report, CexConfig, ConflictOutcome, ConflictReport,
     ExampleKind, GrammarReport,
 };
 pub use search::{
-    conflict_on, unifying_search, unifying_search_metered, unifying_search_session, SearchConfig,
-    SearchOutcome, UnifyingExample,
+    conflict_on, unifying_search_session, SearchConfig, SearchOutcome, UnifyingExample,
 };
 pub use state_graph::{NodeSet, StateGraph, StateItemId};
 pub use stats::{

@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 use lalrcex_grammar::{Grammar, SymbolId, SymbolKind, TerminalSet};
 use lalrcex_lr::{Automaton, Conflict, ConflictKind, StateId};
 
-use crate::cancel::{CancelToken, GovernorLease, MemoryGovernor, SearchSession};
+use crate::cancel::{GovernorLease, SearchSession};
 use crate::error::EngineError;
 use crate::soa::{
     itemh, mix, wpow, BucketQueue, CellArena, DerivArena, FactMap, Pool, Seq, SetInterner, Visited,
@@ -90,7 +90,7 @@ pub struct SearchConfig {
     /// it so their worst case is bounded without consulting the clock.
     pub max_cost: u32,
     /// How many configuration pops between cancellation polls. Each poll
-    /// is one relaxed atomic load on the shared [`CancelToken`], one
+    /// is one relaxed atomic load on the shared [`CancelToken`](crate::CancelToken), one
     /// `Instant::now()` against the deadline, and one memory-governor
     /// lease update — strided so the hot loop doesn't pay a clock syscall
     /// per node (the `cancel_stride` bench group quantifies the overhead).
@@ -824,58 +824,6 @@ fn single_derivation(list: &[u32]) -> Option<u32> {
     found
 }
 
-/// Runs the unifying search for one conflict.
-///
-/// `slsp_states` is the set of states on the shortest lookahead-sensitive
-/// path; reverse transitions are restricted to it unless
-/// [`SearchConfig::extended`] is set (§6).
-pub fn unifying_search(
-    g: &Grammar,
-    auto: &Automaton,
-    graph: &StateGraph,
-    conflict: &Conflict,
-    slsp_states: &[StateId],
-    cfg: &SearchConfig,
-) -> SearchOutcome {
-    let mut metrics = SearchMetrics::default();
-    unifying_search_metered(g, auto, graph, conflict, slsp_states, cfg, &mut metrics)
-}
-
-/// [`unifying_search`] with observability: fills `metrics` with the
-/// explored/enqueued/deduped configuration counts and the frontier
-/// high-water mark. The counters count *arena records* (configurations
-/// accepted into the frontier) and are deterministic for a given conflict
-/// and configuration at any worker count — expansion is merged in
-/// canonical batch order however it was sharded.
-#[allow(clippy::too_many_arguments)]
-pub fn unifying_search_metered(
-    g: &Grammar,
-    auto: &Automaton,
-    graph: &StateGraph,
-    conflict: &Conflict,
-    slsp_states: &[StateId],
-    cfg: &SearchConfig,
-    metrics: &mut SearchMetrics,
-) -> SearchOutcome {
-    let cancel = CancelToken::new();
-    let governor = MemoryGovernor::unlimited();
-    let session = SearchSession {
-        cancel: &cancel,
-        governor: &governor,
-        shards: None,
-    };
-    unifying_search_session(
-        g,
-        auto,
-        graph,
-        conflict,
-        slsp_states,
-        cfg,
-        &session,
-        metrics,
-    )
-}
-
 /// Looks up the unresolved conflict on terminal `term` in a conflict
 /// table, as a structured error instead of a panic: precedence
 /// declarations legitimately resolve conflicts out of the table, so a
@@ -891,8 +839,19 @@ pub fn conflict_on<'a>(
         .ok_or_else(|| EngineError::no_conflict_on(term))
 }
 
-/// [`unifying_search_metered`] under a shared [`SearchSession`]: the
-/// search polls `session.cancel` (plus its own wall-clock deadline) every
+/// Runs the unifying search for one conflict.
+///
+/// `slsp_states` is the set of states on the shortest lookahead-sensitive
+/// path; reverse transitions are restricted to it unless
+/// [`SearchConfig::extended`] is set (§6).
+///
+/// `metrics` receives the explored/enqueued/deduped configuration counts
+/// and the frontier high-water mark. The counters count *arena records*
+/// (configurations accepted into the frontier) and are deterministic for a
+/// given conflict and configuration at any worker count — expansion is
+/// merged in canonical batch order however it was sharded.
+///
+/// The search runs under a shared [`SearchSession`]: it polls `session.cancel` (plus its own wall-clock deadline) every
 /// [`SearchConfig::cancel_stride`] pops, reports its live frontier bytes
 /// (derived from actual arena capacities) to `session.governor`, *shedding*
 /// — tightening its cost cap to the cost of the bucket it is draining so
@@ -1208,10 +1167,11 @@ fn search_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cancel::ShardBudget;
+    use crate::cancel::{CancelToken, MemoryGovernor, ShardBudget};
+    use crate::engine::Engine;
     use crate::lssi;
     use crate::report::ExampleKind;
-    use crate::report::{analyze, Analyzer, CexConfig};
+    use crate::report::{analyze, CexConfig};
     use crate::state_graph::StateGraph;
     use crate::validate::unifying_consistent;
 
@@ -1241,7 +1201,15 @@ mod tests {
         let target = graph.node(c.state, c.reduce_item(g));
         let path = lssi::shortest_path(g, &auto, &graph, target, g.tindex(c.terminal)).unwrap();
         let states = lssi::states_of_path(&graph, &path);
-        unifying_search(g, &auto, &graph, c, &states, cfg)
+        let cancel = CancelToken::new();
+        let governor = MemoryGovernor::unlimited();
+        let session = SearchSession {
+            cancel: &cancel,
+            governor: &governor,
+            shards: None,
+        };
+        let mut metrics = SearchMetrics::default();
+        unifying_search_session(g, &auto, &graph, c, &states, cfg, &session, &mut metrics)
     }
 
     #[test]
@@ -1502,11 +1470,10 @@ mod tests {
     }
 
     #[test]
-    fn analyzer_reports_all_figure1_conflicts_unifying() {
+    fn engine_reports_all_figure1_conflicts_unifying() {
         // Table 1 row figure1: 3 conflicts, 3 unifying.
         let g = figure1();
-        let mut an = Analyzer::new(&g);
-        let report = an.analyze_all(&CexConfig::default());
+        let report = Engine::new(&g).analyze_all(&CexConfig::default());
         assert_eq!(report.reports.len(), 3);
         assert_eq!(report.unifying_count(), 3);
         assert_eq!(report.exhausted_count(), 0);
@@ -1516,12 +1483,11 @@ mod tests {
     #[test]
     fn cumulative_budget_skips_search() {
         let g = figure1();
-        let mut an = Analyzer::new(&g);
         let cfg = CexConfig {
             cumulative_limit: Duration::ZERO,
             ..CexConfig::default()
         };
-        let report = an.analyze_all(&cfg);
+        let report = Engine::new(&g).analyze_all(&cfg);
         assert_eq!(report.unifying_count(), 0);
         assert!(report
             .reports

@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use lalrcex_core::engine::ResolutionProbe;
 use lalrcex_core::{
-    unifying_search_metered, Analyzer, CexConfig, Engine, ExampleKind, SearchConfig, SearchMetrics,
-    SearchOutcome,
+    unifying_search_session, CancelToken, CexConfig, Engine, ExampleKind, MemoryGovernor,
+    SearchConfig, SearchMetrics, SearchOutcome, SearchSession,
 };
 use lalrcex_grammar::Grammar;
 
@@ -35,14 +35,22 @@ fn search_outcome(cfg: &SearchConfig) -> (SearchOutcome, SearchMetrics) {
     let engine = Engine::new(&g);
     let conflict = engine.tables().conflicts()[0];
     let (spine, _) = engine.spine(&conflict);
+    let cancel = CancelToken::new();
+    let governor = MemoryGovernor::unlimited();
+    let session = SearchSession {
+        cancel: &cancel,
+        governor: &governor,
+        shards: None,
+    };
     let mut m = SearchMetrics::default();
-    let out = unifying_search_metered(
+    let out = unifying_search_session(
         &g,
         engine.automaton(),
         engine.graph(),
         &conflict,
         &spine.states,
         cfg,
+        &session,
         &mut m,
     );
     (out, m)
@@ -96,8 +104,7 @@ fn zero_time_limit_reports_stay_complete() {
         },
         ..CexConfig::default()
     };
-    let mut analyzer = Analyzer::new(&g);
-    let report = analyzer.analyze_all(&cfg);
+    let report = Engine::new(&g).analyze_all(&cfg);
     assert_eq!(report.reports.len(), 3, "one report per conflict");
     for r in &report.reports {
         assert_eq!(r.kind(), Some(ExampleKind::NonunifyingTimeout));

@@ -61,10 +61,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lalrcex_core::cache::{BuildError, CacheEntryStats, CacheStats, CachedEngine, EngineCache};
+use lalrcex_core::cache::{BuildError, CacheEntryStats, CacheStats, EngineCache};
 use lalrcex_core::{
-    format_provenance, CancelToken, CexConfig, EngineError, GrammarProvenance, GrammarReport,
-    ProvenanceOutcome,
+    format_provenance, CancelToken, CexConfig, Engine, EngineError, GrammarProvenance,
+    GrammarReport, ProvenanceOutcome,
 };
 use lalrcex_grammar::GrammarError;
 use lalrcex_lint::{Diagnostic, Linter};
@@ -342,7 +342,7 @@ impl AnalysisRequest {
 /// The result of [`Session::analyze`]: the grammar report plus a handle on
 /// the (possibly shared) engine that produced it.
 pub struct AnalysisReply {
-    cached: Arc<CachedEngine>,
+    engine: Arc<Engine<'static>>,
     /// One report per conflict, plus grammar-wide stats (including the
     /// session's cumulative engine-cache counters).
     pub report: GrammarReport,
@@ -354,12 +354,12 @@ pub struct AnalysisReply {
 impl AnalysisReply {
     /// The parsed grammar.
     pub fn grammar(&self) -> &lalrcex_grammar::Grammar {
-        self.cached.grammar()
+        self.engine.grammar()
     }
 
     /// The engine (automaton, tables, state-item graph, spine memo).
     pub fn engine(&self) -> &lalrcex_core::Engine<'_> {
-        self.cached.engine()
+        &self.engine
     }
 
     /// The schema-v1 JSON report document (see [`report_document`]).
@@ -392,7 +392,7 @@ impl AnalysisReply {
 /// The result of [`Session::explain`]: the full analysis reply plus the
 /// lookahead-provenance classification of every conflict and resolution.
 pub struct ExplainReply {
-    cached: Arc<CachedEngine>,
+    engine: Arc<Engine<'static>>,
     /// Per-grammar provenance: one classified (or contained-fault) slot per
     /// conflict, one record per silenced resolution, exploration counters.
     pub provenance: Arc<GrammarProvenance>,
@@ -406,12 +406,12 @@ pub struct ExplainReply {
 impl ExplainReply {
     /// The parsed grammar.
     pub fn grammar(&self) -> &lalrcex_grammar::Grammar {
-        self.cached.grammar()
+        self.engine.grammar()
     }
 
     /// The engine (automaton, tables, state-item graph, spine memo).
     pub fn engine(&self) -> &lalrcex_core::Engine<'_> {
-        self.cached.engine()
+        &self.engine
     }
 
     /// Whether the §5 search corroborated conflict `i` with a unifying
@@ -491,7 +491,7 @@ impl ExplainReply {
 
 /// The result of [`Session::lint`].
 pub struct LintReply {
-    cached: Arc<CachedEngine>,
+    engine: Arc<Engine<'static>>,
     /// Sorted, deterministic diagnostics.
     pub diagnostics: Vec<Diagnostic>,
     /// Whether the engine came from the session cache.
@@ -501,7 +501,7 @@ pub struct LintReply {
 impl LintReply {
     /// The parsed grammar.
     pub fn grammar(&self) -> &lalrcex_grammar::Grammar {
-        self.cached.grammar()
+        self.engine.grammar()
     }
 }
 
@@ -556,7 +556,7 @@ impl Session {
     /// keyed by (frontend, text): the same bytes analyzed as DSL and as
     /// yacc are distinct entries, and a warm hit is only served to the
     /// frontend that built it.
-    fn engine_for(&self, source: &GrammarSource) -> Result<(Arc<CachedEngine>, bool), Error> {
+    fn engine_for(&self, source: &GrammarSource) -> Result<(Arc<Engine<'static>>, bool), Error> {
         self.cache
             .get_or_build_with(source.cache_tag(), source.text(), source.parse_fn())
             .map_err(|e| match e {
@@ -571,19 +571,16 @@ impl Session {
     /// from the session cache when the same source was analyzed before
     /// (byte-identical reports either way).
     pub fn analyze(&self, req: &AnalysisRequest) -> Result<AnalysisReply, Error> {
-        let (cached, cache_hit) = self.engine_for(&req.source)?;
+        let (engine, cache_hit) = self.engine_for(&req.source)?;
         let fallback = CancelToken::new();
         let cancel = req.cancel.as_ref().unwrap_or(&fallback);
-        let mut report =
-            cached
-                .engine()
-                .analyze_all_cancellable(&req.cfg, req.effective_budget(), cancel);
+        let mut report = engine.analyze_all_cancellable(&req.cfg, req.effective_budget(), cancel);
         let cache = self.cache.stats();
         report.stats.cache_hits = cache.hits;
         report.stats.cache_misses = cache.misses;
         report.stats.cache_evictions = cache.evictions;
         Ok(AnalysisReply {
-            cached,
+            engine,
             report,
             cache_hit,
             label: req.label.clone(),
@@ -597,21 +594,18 @@ impl Session {
     /// The provenance tables are computed once per cached engine and shared
     /// by later `explain` calls on the same grammar text.
     pub fn explain(&self, req: &AnalysisRequest) -> Result<ExplainReply, Error> {
-        let (cached, cache_hit) = self.engine_for(&req.source)?;
-        let provenance = cached.engine().provenance()?;
+        let (engine, cache_hit) = self.engine_for(&req.source)?;
+        let provenance = engine.provenance()?;
         let fallback = CancelToken::new();
         let cancel = req.cancel.as_ref().unwrap_or(&fallback);
-        let mut report =
-            cached
-                .engine()
-                .analyze_all_cancellable(&req.cfg, req.effective_budget(), cancel);
+        let mut report = engine.analyze_all_cancellable(&req.cfg, req.effective_budget(), cancel);
         let cache = self.cache.stats();
         report.stats.cache_hits = cache.hits;
         report.stats.cache_misses = cache.misses;
         report.stats.cache_evictions = cache.evictions;
         report.stats.record_provenance(&provenance);
         Ok(ExplainReply {
-            cached,
+            engine,
             provenance,
             report,
             cache_hit,
@@ -641,7 +635,7 @@ impl Session {
     /// outcome; a persistent fault stays `Internal`. Returns the number of
     /// slots retried; the grammar-wide stats record retries and recoveries.
     pub fn retry_internal_slots(&self, reply: &mut AnalysisReply, req: &AnalysisRequest) -> u64 {
-        retry_slots(&reply.cached, &mut reply.report, req)
+        retry_slots(&reply.engine, &mut reply.report, req)
     }
 
     /// [`Session::retry_internal_slots`] for an [`ExplainReply`]. Only the
@@ -653,7 +647,7 @@ impl Session {
         reply: &mut ExplainReply,
         req: &AnalysisRequest,
     ) -> u64 {
-        retry_slots(&reply.cached, &mut reply.report, req)
+        retry_slots(&reply.engine, &mut reply.report, req)
     }
 
     /// Runs every lint pass over the grammar, reusing a cached engine (and
@@ -661,10 +655,10 @@ impl Session {
     /// spans pointing at the real `.y` lines.
     pub fn lint(&self, grammar: impl Into<GrammarSource>) -> Result<LintReply, Error> {
         let source = grammar.into();
-        let (cached, cache_hit) = self.engine_for(&source)?;
-        let diagnostics = Linter::new().run(cached.engine());
+        let (engine, cache_hit) = self.engine_for(&source)?;
+        let diagnostics = Linter::new().run(&engine);
         Ok(LintReply {
-            cached,
+            engine,
             diagnostics,
             cache_hit,
         })
@@ -674,9 +668,8 @@ impl Session {
 /// Shared body of the [`Session`] fault-retry supervision: re-runs every
 /// `Internal` slot of `report` once, in slot order, under the slot's
 /// original fault-injection scope.
-fn retry_slots(cached: &CachedEngine, report: &mut GrammarReport, req: &AnalysisRequest) -> u64 {
+fn retry_slots(engine: &Engine<'_>, report: &mut GrammarReport, req: &AnalysisRequest) -> u64 {
     use lalrcex_core::{ConflictOutcome, MemoryGovernor, SearchSession};
-    let engine = cached.engine();
     let conflicts = engine.tables().conflicts().to_vec();
     let fallback = CancelToken::new();
     let cancel = req.cancel.as_ref().unwrap_or(&fallback);

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use lalrcex::core::{format_report, Analyzer, CexConfig, ExampleKind, GrammarReport, SearchConfig};
+use lalrcex::core::{format_report, CexConfig, Engine, ExampleKind, GrammarReport, SearchConfig};
 use lalrcex::grammar::Grammar;
 
 fn load(name: &str) -> Grammar {
@@ -32,7 +32,7 @@ fn generous(workers: usize) -> CexConfig {
 }
 
 fn run(g: &Grammar, cfg: &CexConfig) -> GrammarReport {
-    Analyzer::new(g).analyze_all(cfg)
+    Engine::new(g).analyze_all(cfg)
 }
 
 /// Asserts the determinism contract between two runs of the same grammar.
@@ -124,8 +124,8 @@ fn partial_budget_never_loses_nonunifying() {
     };
     let report = run(&g, &cfg);
     // Report order must match the conflict table even when workers race.
-    let analyzer = Analyzer::new(&g);
-    let table: Vec<_> = analyzer.tables().conflicts().to_vec();
+    let engine = Engine::new(&g);
+    let table: Vec<_> = engine.tables().conflicts().to_vec();
     assert_eq!(report.reports.len(), table.len());
     for (r, c) in report.reports.iter().zip(&table) {
         assert_eq!(r.conflict.state, c.state);
@@ -187,9 +187,9 @@ fn stackovf08_intra_conflict_stealing_is_deterministic() {
 #[test]
 fn equal_cost_frontiers_pin_the_reported_example() {
     let g = Grammar::parse("%%\ne : e '+' e | e '-' e | N ;").expect("inline grammar");
-    let mut analyzer = Analyzer::new(&g);
-    let cold = analyzer.analyze_all(&generous(1));
-    let warm = analyzer.analyze_all(&generous(1));
+    let engine = Engine::new(&g);
+    let cold = engine.analyze_all(&generous(1));
+    let warm = engine.analyze_all(&generous(1));
     let wide = run(&g, &generous(4));
     assert!(!cold.reports.is_empty(), "ambiguous grammar has conflicts");
     for r in &cold.reports {
@@ -240,7 +240,8 @@ fn cancel_stride_is_cadence_not_semantics() {
     // first stride poll: nothing is explored, every slot degrades.
     let cancel = lalrcex::core::CancelToken::new();
     cancel.cancel(lalrcex::core::CancelReason::Signal);
-    let report = Analyzer::new(&g).analyze_all_cancellable(&strided(1), &cancel);
+    let cfg = strided(1);
+    let report = Engine::new(&g).analyze_all_cancellable(&cfg, cfg.cumulative_limit, &cancel);
     assert_eq!(report.stats.search.explored, 0, "no work after cancel");
     for r in &report.reports {
         assert_ne!(r.kind(), Some(ExampleKind::Unifying));

@@ -268,6 +268,44 @@ fn warm_cache_reports_are_byte_identical_across_worker_counts() {
     assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(1));
 }
 
+/// Identical requests sent back to back, without waiting for answers,
+/// build each engine once: whichever of a pair runs second waits for the
+/// first one's build (or finds it cached) and answers `"cache":"hit"`,
+/// so `misses` counts builds, one per grammar. This holds however the
+/// two workers interleave the four requests.
+#[test]
+fn concurrent_identical_requests_build_each_engine_once() {
+    let grammars = ["eqn.y", "java.y"].map(|f| {
+        let path = format!("{}/crates/corpus/grammars/{f}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(path).expect("committed corpus grammar")
+    });
+    let h = Harness::start(ServeOptions {
+        workers: 2,
+        ..ServeOptions::default()
+    });
+    for (g, text) in grammars.iter().enumerate() {
+        h.send(&analyze_line(&format!("g{g}a"), text, ""));
+        h.send(&analyze_line(&format!("g{g}b"), text, ""));
+    }
+    h.wait_responses(4);
+    h.send(r#"{"op":"stats","id":"s"}"#);
+    h.send(r#"{"op":"shutdown","id":"z"}"#);
+    let (rs, _) = h.finish();
+
+    for g in 0..grammars.len() {
+        let (a, b) = (by_id(&rs, &format!("g{g}a")), by_id(&rs, &format!("g{g}b")));
+        let cache = |r: &Json| r.get("cache").and_then(Json::as_str).unwrap().to_owned();
+        let mut pair = [cache(a), cache(b)];
+        pair.sort();
+        assert_eq!(pair, ["hit", "miss"], "grammar {g}: exactly one build");
+        let report = |r: &Json| r.get("report").unwrap().to_string();
+        assert_eq!(report(a), report(b), "grammar {g}: byte-identical reports");
+    }
+    let cache = by_id(&rs, "s").get("cache").unwrap();
+    assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(2));
+    assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(2));
+}
+
 /// Under a deliberately small `--cache-mb`, filling the cache with
 /// distinct large grammars evicts in LRU order, and the `stats` op
 /// surfaces the eviction count.
